@@ -45,37 +45,67 @@ func TestPingPongBothTransports(t *testing.T) {
 	}
 }
 
+// TestLongMessageRendezvous sends long and eager messages on every
+// transport and checks every byte. The reuse cases send several
+// messages back to back from one buffer, refilling it as soon as each
+// blocking Send returns: the transports must read only the session
+// layer's copy, never the caller's buffer after the send completed.
 func TestLongMessageRendezvous(t *testing.T) {
+	cases := []struct {
+		name string
+		size int // message size in bytes
+		msgs int // back-to-back sends from one reused buffer
+	}{
+		{"single_300KiB", 300 << 10, 1}, // rendezvous, past the 64 KiB eager limit
+		{"reuse_30KiB", 30 << 10, 6},    // eager
+		{"reuse_300KiB", 300 << 10, 6},  // rendezvous
+	}
+	fill := func(msg, i int) byte { return byte(i*7 + msg*101) }
 	for _, tr := range allTransports {
 		tr := tr
 		t.Run(tr.String(), func(t *testing.T) {
-			const n = 300 << 10 // long message, past the 64 KiB eager limit
-			_, err := Run(Options{Procs: 2, Transport: tr, Seed: 2},
-				func(pr *mpi.Process, comm *mpi.Comm) error {
-					if comm.Rank() == 0 {
-						data := make([]byte, n)
-						for i := range data {
-							data[i] = byte(i * 7)
-						}
-						return comm.Send(1, 0, data)
-					}
-					buf := make([]byte, n)
-					st, err := comm.Recv(0, 0, buf)
+			for _, tc := range cases {
+				tc := tc
+				t.Run(tc.name, func(t *testing.T) {
+					_, err := Run(Options{Procs: 2, Transport: tr, Seed: 2},
+						func(pr *mpi.Process, comm *mpi.Comm) error {
+							if comm.Rank() == 0 {
+								data := make([]byte, tc.size)
+								for k := 0; k < tc.msgs; k++ {
+									for i := range data {
+										data[i] = fill(k, i)
+									}
+									if err := comm.Send(1, 0, data); err != nil {
+										return err
+									}
+								}
+								return nil
+							}
+							// Keep receiving after a corrupt message so
+							// the sender is not left blocked and the
+							// corruption, not a deadlock, is reported.
+							var bad error
+							buf := make([]byte, tc.size)
+							for k := 0; k < tc.msgs; k++ {
+								st, err := comm.Recv(0, 0, buf)
+								if err != nil {
+									return err
+								}
+								if st.Count != tc.size && bad == nil {
+									bad = fmt.Errorf("message %d: count = %d", k, st.Count)
+								}
+								for i := range buf {
+									if buf[i] != fill(k, i) && bad == nil {
+										bad = fmt.Errorf("message %d corrupt from byte %d", k, i)
+									}
+								}
+							}
+							return bad
+						})
 					if err != nil {
-						return err
+						t.Fatal(err)
 					}
-					if st.Count != n {
-						return fmt.Errorf("count = %d", st.Count)
-					}
-					for i := range buf {
-						if buf[i] != byte(i*7) {
-							return fmt.Errorf("corrupt at %d", i)
-						}
-					}
-					return nil
 				})
-			if err != nil {
-				t.Fatal(err)
 			}
 		})
 	}

@@ -65,7 +65,7 @@ type RecvKey struct {
 
 type msgOut struct {
 	env      []byte
-	body     []byte
+	body     *Body // held by this sender until finishMsg
 	off      int
 	envSent  bool
 	onQueued func()
@@ -107,10 +107,11 @@ func NewMsgSender(bodyChunk int, optionC bool, ctrs Counters,
 }
 
 // Send queues one middleware message on its (peer, stream) writer and
-// flushes as far as the transport allows. Under Option C, bodiless
-// control envelopes (ACKs) bypass the writer lock.
-func (s *MsgSender) Send(key MsgKey, env Envelope, body []byte, onQueued func()) {
-	if s.OptionC && len(body) == 0 && !env.Kind.HasBody() {
+// flushes as far as the transport allows. The sender holds body (see
+// Body) until the transport has taken all of it. Under Option C,
+// bodiless control envelopes (ACKs) bypass the writer lock.
+func (s *MsgSender) Send(key MsgKey, env Envelope, body *Body, onQueued func()) {
+	if s.OptionC && body == nil && !env.Kind.HasBody() {
 		s.ctrs.Add("optionc_ctrl", 1)
 		s.ctrlQ[key] = append(s.ctrlQ[key], env.Encode())
 		s.ensureActive(key)
@@ -120,6 +121,7 @@ func (s *MsgSender) Send(key MsgKey, env Envelope, body []byte, onQueued func())
 		}
 		return
 	}
+	body.hold()
 	msg := &msgOut{env: env.Encode(), body: body, onQueued: onQueued}
 	if s.inProg[key] != nil {
 		// Option B: the stream is busy; wait behind it.
@@ -196,12 +198,13 @@ func (s *MsgSender) FlushKey(key MsgKey) int {
 			msg.envSent = true
 			sent++
 		}
-		for msg.off < len(msg.body) {
+		body := msg.body.Bytes()
+		for msg.off < len(body) {
 			end := msg.off + s.BodyChunk
-			if end > len(msg.body) {
-				end = len(msg.body)
+			if end > len(body) {
+				end = len(body)
 			}
-			err := s.trySend(key, PPIDBody, msg.body[msg.off:end])
+			err := s.trySend(key, PPIDBody, body[msg.off:end])
 			if errors.Is(err, transport.ErrWouldBlock) {
 				return sent
 			}
@@ -216,8 +219,12 @@ func (s *MsgSender) FlushKey(key MsgKey) int {
 	}
 }
 
+// finishMsg retires the in-progress message on key once the transport
+// has taken all of it (or refused it terminally), dropping the
+// sender's hold on its body.
 func (s *MsgSender) finishMsg(key MsgKey, msg *msgOut) {
 	s.inProg[key] = nil
+	msg.body.release()
 	if msg.onQueued != nil {
 		msg.onQueued()
 	}
@@ -227,7 +234,9 @@ func (s *MsgSender) finishMsg(key MsgKey, msg *msgOut) {
 // and in-progress messages, control frames, and active keys. Used when
 // the session to that peer dies — retained messages are replayed from
 // the session layer on a fresh transport session, so partially written
-// frames must not linger here.
+// frames must not linger here. The dropped messages' body holds are
+// never released: those bodies go to the garbage collector, never back
+// to the pool, because the session log or a replay may still read them.
 func (s *MsgSender) DropPeer(rank int) {
 	for key := range s.inProg {
 		if key.Rank == rank {

@@ -137,8 +137,11 @@ type RPI interface {
 	SetDelivery(d Delivery)
 
 	// Send queues one message to the destination world rank. onQueued,
-	// if non-nil, runs when the message has been fully handed to the
-	// transport (the completion point for buffered eager sends).
+	// if non-nil, runs when the message has been handed over (the
+	// completion point for buffered eager sends): the session layer has
+	// copied body into its retained Body. From then on the caller may
+	// reuse body; the transports read only the session's copy, never
+	// the caller's slice.
 	Send(dest int, env Envelope, body []byte, onQueued func())
 
 	// Advance progresses outstanding transport work, invoking the

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // This file is the session-recovery half of the shared engine: a
@@ -15,11 +16,12 @@ import (
 //
 // The mechanism is the classic reliable-session design: every
 // middleware message bound for a peer is stamped with a dense per-peer
-// sequence number (SSeq) and retained (body copied) until the peer
-// acknowledges delivery via the SAck field piggybacked on its own
-// traffic. When the transport session dies, the module redials (capped
-// exponential backoff, deterministic jitter from the sim RNG, bounded
-// attempt budget) and the two sides exchange a
+// sequence number (SSeq) and retained (body copied once, into a pooled
+// Body that the transports send from too) until the peer acknowledges
+// delivery via the SAck field piggybacked on its own traffic. When the
+// transport session dies, the module redials (capped exponential
+// backoff, deterministic jitter from the sim RNG, bounded attempt
+// budget) and the two sides exchange a
 // KindReconnect/KindReconnectAck handshake carrying a new epoch and
 // each side's cumulative delivered sequence; each side then replays
 // exactly the retained gap above the peer's cumulative. The receiver
@@ -99,7 +101,63 @@ func (c SessionConfig) budget() int {
 // are refreshed when the entry is replayed.
 type Retained struct {
 	Env  Envelope
-	Body []byte
+	Body *Body // nil for a bodiless message
+}
+
+// Body is the one copy of an outbound message body that the session
+// log and every sender queue read; the caller's slice is never read
+// after Send returns. The buffer comes from the wire pool and counts
+// its holders: one for the session log (dropped when prune removes the
+// entry) and one for each sender queue currently holding the message
+// (dropped when the sender finishes it). The last drop recycles the
+// buffer. A sender queue discarded wholesale (MsgSender.DropPeer,
+// OutQueue.Reset) never drops its holds, so those bodies are left to
+// the garbage collector rather than recycled under a log entry or a
+// replay that still reads them.
+type Body struct {
+	b    []byte
+	refs int
+}
+
+// newBody copies p into a pooled buffer held once, by the session log.
+// It returns nil for an empty body.
+func newBody(p []byte) *Body {
+	if len(p) == 0 {
+		return nil
+	}
+	b := &Body{b: wire.GetBuf(len(p)), refs: 1}
+	copy(b.b, p)
+	return b
+}
+
+// Bytes returns the body's bytes; nil for a nil Body.
+func (b *Body) Bytes() []byte {
+	if b == nil {
+		return nil
+	}
+	return b.b
+}
+
+// hold adds one holder.
+func (b *Body) hold() {
+	if b != nil {
+		b.refs++
+	}
+}
+
+// release drops one holder, recycling the buffer on the last drop.
+func (b *Body) release() {
+	if b == nil {
+		return
+	}
+	b.refs--
+	switch {
+	case b.refs == 0:
+		wire.PutBuf(b.b)
+		b.b = nil
+	case b.refs < 0:
+		panic("rpi: message body released more often than held")
+	}
 }
 
 // Session is the recovery state for one peer.
@@ -148,22 +206,22 @@ func NewSessions(e *Engine, k *sim.Kernel, size int, cfg SessionConfig) *Session
 func (ss *Sessions) Get(peer int) *Session { return ss.sess[peer] }
 
 // StampOut stamps one outbound middleware envelope with its session
-// fields, retains a copy (body included) for possible replay, and
-// reports whether the module should transmit it now. While the session
-// is recovering the message is retention-only: it will reach the peer
-// as part of the replay gap once the handshake completes.
-func (ss *Sessions) StampOut(peer int, env *Envelope, body []byte) bool {
+// fields, retains it for possible replay, and reports whether the
+// module should transmit it now. The body is copied exactly once, into
+// the returned Body: the module sends from that copy (nil for an empty
+// body), so the caller may reuse its slice as soon as StampOut returns.
+// While the session is recovering the message is retention-only: it
+// will reach the peer as part of the replay gap once the handshake
+// completes.
+func (ss *Sessions) StampOut(peer int, env *Envelope, body []byte) (*Body, bool) {
 	s := ss.sess[peer]
 	env.SSeq = s.nextSeq
 	s.nextSeq++
 	env.SEpoch = s.Epoch
 	env.SAck = s.recvCum
-	var kept []byte
-	if len(body) > 0 {
-		kept = append([]byte(nil), body...)
-	}
+	kept := newBody(body)
 	s.retain = append(s.retain, Retained{Env: *env, Body: kept})
-	return s.State == SessUp
+	return kept, s.State == SessUp
 }
 
 // Accept runs receiver-side session processing on one complete inbound
@@ -193,14 +251,18 @@ func (ss *Sessions) Accept(peer int, env *Envelope) bool {
 	return true
 }
 
-// prune drops retained messages the peer has acknowledged delivering.
+// prune drops retained messages the peer has acknowledged delivering,
+// and with them the session log's hold on their bodies.
 func (ss *Sessions) prune(s *Session, ack uint64) {
 	i := 0
 	for i < len(s.retain) && s.retain[i].Env.SSeq <= ack {
+		s.retain[i].Body.release()
 		i++
 	}
 	if i > 0 {
-		s.retain = append(s.retain[:0], s.retain[i:]...)
+		n := copy(s.retain, s.retain[i:])
+		clear(s.retain[n:])
+		s.retain = s.retain[:n]
 	}
 }
 

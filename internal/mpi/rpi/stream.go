@@ -16,12 +16,12 @@ import (
 // with partial-write state.
 type outMsg struct {
 	env      []byte
-	body     []byte
-	off      int // bytes written across env+body
+	body     *Body // held by this queue until the message is written
+	off      int   // bytes written across env+body
 	onQueued func()
 }
 
-func (m *outMsg) total() int { return len(m.env) + len(m.body) }
+func (m *outMsg) total() int { return len(m.env) + len(m.body.Bytes()) }
 
 // OutQueue is a per-connection outbound queue for byte-stream
 // transports: one message at a time with partial-write resumption,
@@ -31,8 +31,10 @@ type OutQueue struct {
 	cur *outMsg
 }
 
-// Push appends one message to the queue.
-func (q *OutQueue) Push(env Envelope, body []byte, onQueued func()) {
+// Push appends one message to the queue, which holds body (see Body)
+// until the transport has taken all of it.
+func (q *OutQueue) Push(env Envelope, body *Body, onQueued func()) {
+	body.hold()
 	q.wq = append(q.wq, &outMsg{env: env.Encode(), body: body, onQueued: onQueued})
 }
 
@@ -59,7 +61,7 @@ func (q *OutQueue) Flush(tryWrite func([]byte) (int, error), onError func(error)
 			if msg.off < len(msg.env) {
 				chunk = msg.env[msg.off:]
 			} else {
-				chunk = msg.body[msg.off-len(msg.env):]
+				chunk = msg.body.Bytes()[msg.off-len(msg.env):]
 			}
 			n, err := tryWrite(chunk)
 			msg.off += n
@@ -73,6 +75,7 @@ func (q *OutQueue) Flush(tryWrite func([]byte) (int, error), onError func(error)
 			}
 		}
 		q.cur = nil
+		msg.body.release()
 		if msg.onQueued != nil {
 			msg.onQueued()
 		}
@@ -82,7 +85,9 @@ func (q *OutQueue) Flush(tryWrite func([]byte) (int, error), onError func(error)
 // Reset discards all queued and partially written messages. Used when
 // the connection dies: unacknowledged messages are replayed from the
 // session layer's retention on the replacement connection, so nothing
-// here is worth keeping (bodies are caller-owned and not pooled).
+// here is worth keeping. As with MsgSender.DropPeer, the discarded
+// body holds are never released; those bodies go to the garbage
+// collector.
 func (q *OutQueue) Reset() { q.wq, q.cur = nil, nil }
 
 // StreamFramer is the per-connection inbound state machine for

@@ -222,10 +222,11 @@ func (m *Module) trySend(key rpi.MsgKey, ppid uint32, data []byte) error {
 // Send implements rpi.RPI: same Option B/C writer lock as the
 // one-to-many module, keyed by (peer, stream). The session layer
 // retains every message until acknowledged; the retained copy is the
-// buffered-send completion point, so onQueued fires here. While the
-// session is down the message is retention-only.
+// buffered-send completion point, so onQueued fires here, and the
+// writer sends from that copy, never from body. While the session is
+// down the message is retention-only.
 func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) {
-	up := m.sess.StampOut(dest, &env, body)
+	kept, up := m.sess.StampOut(dest, &env, body)
 	m.CountSend(len(body))
 	if onQueued != nil {
 		onQueued()
@@ -234,7 +235,7 @@ func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) 
 		return
 	}
 	key := rpi.MsgKey{Rank: dest, Stream: m.StreamFor(env.Context, env.Tag)}
-	m.sender.Send(key, env, body, nil)
+	m.sender.Send(key, env, kept, nil)
 }
 
 // Advance implements rpi.RPI: drain the readiness queue, pumping only

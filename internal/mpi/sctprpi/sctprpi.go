@@ -206,9 +206,10 @@ func (m *Module) trySend(key rpi.MsgKey, ppid uint32, data []byte) error {
 // interleaved between body chunks, distinguished on the wire by PPID.
 // The session layer retains every message until acknowledged; the
 // retained copy is the buffered-send completion point, so onQueued
-// fires here. While the session is down the message is retention-only.
+// fires here, and the writer sends from that copy, never from body.
+// While the session is down the message is retention-only.
 func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) {
-	up := m.sess.StampOut(dest, &env, body)
+	kept, up := m.sess.StampOut(dest, &env, body)
 	m.CountSend(len(body))
 	if onQueued != nil {
 		onQueued()
@@ -218,7 +219,7 @@ func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) 
 	}
 	key := rpi.MsgKey{Rank: dest, Stream: m.StreamFor(env.Context, env.Tag)}
 	m.stampClass(key, env.Kind)
-	m.sender.Send(key, env, body, nil)
+	m.sender.Send(key, env, kept, nil)
 }
 
 // stampClass tells a chunk-interleaving transport scheduler what this

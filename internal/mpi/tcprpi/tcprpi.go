@@ -205,11 +205,12 @@ func (m *Module) bindPeerConn(r int, c *tcp.Conn) {
 
 // Send implements rpi.RPI. Every middleware message is stamped and
 // retained by the session layer; the retained copy is the buffered-send
-// completion point, so onQueued fires here regardless of session state.
-// While the session is down the message is retention-only and reaches
-// the peer in the replay gap after recovery.
+// completion point, so onQueued fires here regardless of session state,
+// and the write queue sends from that copy, never from body. While the
+// session is down the message is retention-only and reaches the peer in
+// the replay gap after recovery.
 func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) {
-	up := m.sess.StampOut(dest, &env, body)
+	kept, up := m.sess.StampOut(dest, &env, body)
 	m.CountSend(len(body))
 	if onQueued != nil {
 		onQueued()
@@ -218,7 +219,7 @@ func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) 
 		return
 	}
 	pe := m.peers[dest]
-	pe.out.Push(env, body, nil)
+	pe.out.Push(env, kept, nil)
 	pe.out.Flush(pe.conn.TryWrite, m.sendError)
 }
 

@@ -5,15 +5,29 @@ import (
 	"repro/internal/wire"
 )
 
-// sendBuffer holds unacknowledged and not-yet-sent outbound bytes. The
-// byte at offset 0 always corresponds to snd.una.
+// sendBuffer holds unacknowledged and not-yet-sent outbound bytes in a
+// ring. The byte at offset 0 always corresponds to snd.una.
+//
+// The ring starts empty and grows geometrically from 256 B up to limit,
+// linearizing on growth as wire.BipBuffer does, so a connection that
+// only ever carries a few hundred bytes never pins a limit-sized array.
+// Once grown, an ack moves no bytes and a write copies only its own.
+// wire.BipBuffer itself does not fit here: once it wraps it refuses
+// writes into the space after its first region, so at the limit it
+// would accept fewer than limit-len bytes and the segmentation (hence
+// the packet trace) would change. A segment that crosses the ring's
+// seam is copied into a per-connection scratch slice instead, so slice
+// returns exactly the bytes an append-and-reslice buffer would.
 type sendBuffer struct {
-	data  []byte
+	buf   []byte // ring storage; nil until the first write
+	head  int    // index in buf of the byte at snd.una
+	n     int    // buffered bytes
 	limit int
+	seam  []byte // scratch for slices that cross the end of buf
 }
 
-func (b *sendBuffer) len() int   { return len(b.data) }
-func (b *sendBuffer) space() int { return b.limit - len(b.data) }
+func (b *sendBuffer) len() int   { return b.n }
+func (b *sendBuffer) space() int { return b.limit - b.n }
 
 // write appends up to space() bytes from p, returning how many were
 // taken.
@@ -22,33 +36,81 @@ func (b *sendBuffer) write(p []byte) int {
 	if n > len(p) {
 		n = len(p)
 	}
-	b.data = append(b.data, p[:n]...)
+	if n <= 0 {
+		return 0
+	}
+	if b.n+n > len(b.buf) {
+		b.grow(b.n + n)
+	}
+	tail := b.head + b.n
+	if tail >= len(b.buf) {
+		tail -= len(b.buf)
+	}
+	c := copy(b.buf[tail:], p[:n])
+	copy(b.buf, p[c:n])
+	b.n += n
 	return n
 }
 
+// grow enlarges the ring to hold at least need bytes: doubling from
+// 256 B, capped at limit, with the buffered bytes linearized to the
+// front of the new array.
+func (b *sendBuffer) grow(need int) {
+	size := 2 * len(b.buf)
+	if size < 256 {
+		size = 256
+	}
+	for size < need {
+		size *= 2
+	}
+	if size > b.limit {
+		size = b.limit
+	}
+	nb := make([]byte, size)
+	c := copy(nb, b.buf[b.head:min(b.head+b.n, len(b.buf))])
+	copy(nb[c:b.n], b.buf)
+	b.buf, b.head = nb, 0
+}
+
 // slice returns up to n bytes starting at byte offset off (relative to
-// snd.una). The returned slice must not be retained across acks.
+// snd.una). The returned slice must not be retained across acks or the
+// next slice call: a range crossing the ring's seam comes back in the
+// connection's scratch slice.
 func (b *sendBuffer) slice(off, n int) []byte {
-	if off >= len(b.data) {
+	if off >= b.n {
 		return nil
 	}
-	end := off + n
-	if end > len(b.data) {
-		end = len(b.data)
+	if n > b.n-off {
+		n = b.n - off
 	}
-	return b.data[off:end]
+	start := b.head + off
+	if start >= len(b.buf) {
+		start -= len(b.buf)
+	}
+	if start+n <= len(b.buf) {
+		return b.buf[start : start+n]
+	}
+	if cap(b.seam) < n {
+		b.seam = make([]byte, n)
+	}
+	out := b.seam[:n]
+	c := copy(out, b.buf[start:])
+	copy(out[c:], b.buf)
+	return out
 }
 
 // ack discards n bytes from the front (they were cumulatively acked).
 func (b *sendBuffer) ack(n int) {
-	if n > len(b.data) {
-		n = len(b.data)
+	if n > b.n {
+		n = b.n
 	}
-	b.data = b.data[n:]
-	// Reclaim storage occasionally so long-lived connections do not pin
-	// the high-water-mark backing array.
-	if cap(b.data) > 4*b.limit && len(b.data) < b.limit {
-		b.data = append([]byte(nil), b.data...)
+	b.n -= n
+	b.head += n
+	if b.head >= len(b.buf) {
+		b.head -= len(b.buf)
+	}
+	if b.n == 0 {
+		b.head = 0
 	}
 }
 

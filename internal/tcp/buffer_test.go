@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/netsim"
 	"repro/internal/seqnum"
+	"repro/internal/sim"
 )
 
 func TestSendBufferBasics(t *testing.T) {
@@ -205,5 +207,184 @@ func TestQuickSegmentGarbage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// appendSendBuffer is the append-and-reslice send buffer the ring
+// replaced, kept as the reference model: the ring must accept, return
+// and discard exactly the same bytes, or TCP segmentation changes.
+type appendSendBuffer struct {
+	data  []byte
+	limit int
+}
+
+func (b *appendSendBuffer) write(p []byte) int {
+	n := b.limit - len(b.data)
+	if n > len(p) {
+		n = len(p)
+	}
+	b.data = append(b.data, p[:n]...)
+	return n
+}
+
+func (b *appendSendBuffer) slice(off, n int) []byte {
+	if off >= len(b.data) {
+		return nil
+	}
+	return b.data[off:min(off+n, len(b.data))]
+}
+
+func (b *appendSendBuffer) ack(n int) { b.data = b.data[min(n, len(b.data)):] }
+
+func TestSendBufferSliceAcrossSeam(t *testing.T) {
+	b := &sendBuffer{limit: 256}
+	fill := func(n int, base byte) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = base + byte(i)
+		}
+		return p
+	}
+	b.write(fill(200, 0))
+	b.ack(150) // head at 150; the next write wraps past the end
+	second := fill(150, 100)
+	if n := b.write(second); n != 150 {
+		t.Fatalf("write = %d, want 150", n)
+	}
+	if len(b.buf) != 256 {
+		t.Fatalf("ring grew to %d; the wrapping write should fit the 256 B ring", len(b.buf))
+	}
+	want := append(fill(200, 0)[150:], second...)
+	// Every window, including ones straddling the seam at ring index 256
+	// (stream offset 106), must return exactly the written bytes.
+	for off := 0; off < len(want); off += 7 {
+		for _, n := range []int{1, 50, 106 - off, 200} {
+			if n <= 0 {
+				continue
+			}
+			got := b.slice(off, n)
+			end := min(off+n, len(want))
+			if !bytes.Equal(got, want[off:end]) {
+				t.Fatalf("slice(%d, %d) = %v, want %v", off, n, got, want[off:end])
+			}
+		}
+	}
+	if got := b.slice(0, 200); !bytes.Equal(got, want) {
+		t.Fatalf("full slice across the seam differs")
+	}
+}
+
+func TestSendBufferGrowthKeepsOrder(t *testing.T) {
+	const limit = 220 << 10
+	b := &sendBuffer{limit: limit}
+	var want []byte
+	next := byte(0)
+	write := func(n int) {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = next
+			next++
+		}
+		w := b.write(p)
+		want = append(want, p[:w]...)
+	}
+	sizes := []int{100, 300, 1000, 5000, 40000, 100000, 200000}
+	for i, n := range sizes {
+		write(n)
+		if i%2 == 1 {
+			// Ack some, then top the ring up so its contents wrap past
+			// the seam: the next write's growth must linearize them.
+			b.ack(len(want) / 3)
+			want = want[len(want)/3:]
+			write(len(b.buf) - b.len())
+		}
+		if len(b.buf) < b.len() || len(b.buf) > limit {
+			t.Fatalf("after write %d: ring %d B holding %d B (limit %d)", i, len(b.buf), b.len(), limit)
+		}
+		if got := b.slice(0, b.len()); !bytes.Equal(got, want) {
+			t.Fatalf("after write %d (ring %d B): contents or order changed", i, len(b.buf))
+		}
+	}
+	if len(b.buf) != limit {
+		t.Fatalf("ring is %d B after filling to the limit, want %d", len(b.buf), limit)
+	}
+	if b.space() != 0 {
+		t.Fatalf("space = %d at the limit", b.space())
+	}
+}
+
+func TestSendBufferMatchesAppendModel(t *testing.T) {
+	for _, limit := range []int{10, 256, 1000, 64 << 10} {
+		r := rand.New(rand.NewSource(int64(limit)))
+		ring := &sendBuffer{limit: limit}
+		ref := &appendSendBuffer{limit: limit}
+		var next byte
+		for step := 0; step < 4000; step++ {
+			if r.Intn(2) == 0 {
+				p := make([]byte, r.Intn(limit/2+2))
+				for i := range p {
+					p[i] = next
+					next++
+				}
+				if got, want := ring.write(p), ref.write(p); got != want {
+					t.Fatalf("limit %d step %d: write took %d, model %d", limit, step, got, want)
+				}
+			} else {
+				n := r.Intn(len(ref.data) + 2)
+				ring.ack(n)
+				ref.ack(n)
+			}
+			if ring.space() != limit-ring.len() || ring.len() != len(ref.data) {
+				t.Fatalf("limit %d step %d: space %d len %d, model len %d",
+					limit, step, ring.space(), ring.len(), len(ref.data))
+			}
+			off, n := r.Intn(len(ref.data)+1), r.Intn(1500)+1
+			if got, want := ring.slice(off, n), ref.slice(off, n); !bytes.Equal(got, want) {
+				t.Fatalf("limit %d step %d: slice(%d, %d) differs from model", limit, step, off, n)
+			}
+		}
+	}
+}
+
+// TestSendBufferSmallConnFootprint pins the lazy sizing: a connection
+// that has written only a few hundred bytes (a mesh hello) must not pin
+// a limit-sized array.
+func TestSendBufferSmallConnFootprint(t *testing.T) {
+	k, sa, sb, _ := pair(1, lan(), Config{NoDelay: true, SndBuf: 220 << 10, RcvBuf: 220 << 10})
+	l, err := sb.Listen(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var client *Conn
+	k.Spawn("server", func(p *sim.Proc) {
+		c, err := l.Accept(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 512)
+		if _, err := c.Read(p, buf); err != nil {
+			t.Error(err)
+		}
+	})
+	k.Spawn("client", func(p *sim.Proc) {
+		c, err := sa.Connect(p, netsim.MakeAddr(0, 2), 5000)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Write(p, make([]byte, 300)); err != nil {
+			t.Error(err)
+		}
+		client = c
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if client == nil {
+		t.Fatal("client never connected")
+	}
+	if got := cap(client.sb.buf) + cap(client.sb.seam); got > 512 {
+		t.Fatalf("a 300 B connection holds %d B of send buffer (limit %d)", got, client.sb.limit)
 	}
 }

@@ -245,9 +245,6 @@ func (c *Conn) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	if debugFail != nil {
-		debugFail(c, err)
-	}
 	c.stopTimers()
 	c.stack.removeConn(c)
 	c.readCond.Broadcast()

@@ -283,9 +283,6 @@ func (c *Conn) onRTO() {
 		return
 	}
 	c.Stats.RTOs++
-	if debugRTO != nil {
-		debugRTO(c)
-	}
 	flight := c.outstanding()
 	c.ssthresh = flight / 2
 	if c.ssthresh < 2*c.mss {

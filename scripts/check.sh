@@ -38,6 +38,16 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== perfbench selftest =="
+# Builds perfbench/ and runs one short untraced and one traced rep per
+# workload (about 10 s): every payload's CRC-32C is checked on receipt
+# from a reused send buffer, no pooled packet may outlive the run, the
+# two reps' virtual results must be identical, and the metric names
+# must match BENCHMARK.json. A change that aliases send buffers or
+# perturbs virtual results fails here, not only in the paired
+# benchmark.
+python3 perfbench/run.py --selftest
+
 echo "== go test -race (sweep runner) =="
 go test -race ./internal/bench/...
 
